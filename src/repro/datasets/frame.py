@@ -76,19 +76,26 @@ def _infer_kind(values: np.ndarray) -> tuple[AttributeKind, np.ndarray]:
     bool → binary; anything non-numeric → categorical (equality
     selectors); numeric taking only the values {0, 1} → binary; any
     other numeric → numeric (inequality selectors over split points).
-    Returns the kind together with values coerced to the schema's
-    storage dtype (float for orderable/binary, str-able objects for
-    categorical).
+    Numeric means a numeric dtype, or an object column holding only
+    numbers (a mapping column that had missing values): strings of
+    digits such as ``"0"``/``"1"``/``"2"`` are labels, and ``kinds=``
+    opts such a column in to the numeric path. Returns the kind together
+    with values coerced to the schema's storage dtype (float for
+    orderable/binary, str-able objects for categorical).
     """
     if values.dtype.kind == "b":
         return AttributeKind.BINARY, values.astype(float)
-    if values.dtype.kind in ("i", "u", "f"):
-        numeric = values.astype(float)
-    else:
-        try:
-            numeric = values.astype(float)
-        except (TypeError, ValueError):
-            return AttributeKind.CATEGORICAL, values.astype(str)
+    numbers = values.dtype.kind in ("i", "u", "f") or (
+        values.dtype.kind == "O"
+        and all(
+            isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, (bool, np.bool_))
+            for v in values
+        )
+    )
+    if not numbers:
+        return AttributeKind.CATEGORICAL, values.astype(str)
+    numeric = values.astype(float)
     distinct = np.unique(numeric)
     if distinct.shape[0] <= 2 and np.isin(distinct, (0.0, 1.0)).all():
         return AttributeKind.BINARY, numeric

@@ -43,6 +43,14 @@ BEAM_PHASE = METRICS.histogram(
 BEAM_CANDIDATES = METRICS.counter(
     "sisd_beam_candidates_total", "Beam candidates scored"
 )
+#: Refinements the beam dropped before scoring; reason ∈
+#: redundant|contradictory|duplicate|coverage. With the scored
+#: candidates they add up to parents × pool size per level.
+BEAM_FILTERED = METRICS.counter(
+    "sisd_beam_filtered_total",
+    "Beam refinements dropped before scoring",
+    labels=("reason",),
+)
 #: Mining-loop steps; outcome ∈ mined|replayed (belief-cache hit).
 MINER_STEPS = METRICS.counter(
     "sisd_miner_steps_total",
@@ -207,6 +215,12 @@ BEAM_PHASE_CANDIDATE_GEN = BEAM_PHASE.labels("candidate_gen")
 BEAM_PHASE_SCORE = BEAM_PHASE.labels("score")
 BEAM_PHASE_PRUNE = BEAM_PHASE.labels("prune")
 BEAM_PHASE_MERGE = BEAM_PHASE.labels("merge")
+
+#: Pre-bound beam filter reasons.
+BEAM_FILTERED_REDUNDANT = BEAM_FILTERED.labels("redundant")
+BEAM_FILTERED_CONTRADICTORY = BEAM_FILTERED.labels("contradictory")
+BEAM_FILTERED_DUPLICATE = BEAM_FILTERED.labels("duplicate")
+BEAM_FILTERED_COVERAGE = BEAM_FILTERED.labels("coverage")
 
 #: Pre-bound step phases.
 STEP_PHASE_LOCATION = STEP_PHASE.labels("location")

@@ -2,17 +2,27 @@
 
 Level-wise exploration of conjunctions: keep the ``beam_width`` highest-
 SI descriptions of each arity, expand each by every admissible condition,
-and log the overall ``top_k``. Candidate extensions are computed
-incrementally (parent mask AND the memoized condition mask) and scored in
-batch: subgroup means for a batch of candidates come from one matrix
-product, and the information content uses a fast path when every model
+and log the overall ``top_k``.
+
+Each level runs in index space. Refinements are generated and
+deduplicated as integer keys (:meth:`RefinementOperator.refine_key`),
+and their statistics come from one matrix product per block of beam
+parents: with ``C`` the condition-mask matrix and ``P`` the parents'
+row masks, ``C @ [P | P∘T | P∘H]`` holds the row count, the target sums
+and the per-model-block counts of every (parent, condition) pair
+(weighted sums and counts when the model carries case weights). That is
+all the information content needs; it has a fast path when every model
 block shares one covariance (always true before any spread pattern has
 been assimilated, since location updates leave covariances alone).
+:class:`~repro.lang.description.Description` and
+:class:`~repro.search.results.ScoredSubgroup` objects are built only for
+the candidates that enter the top-k log or the next beam, and for every
+scored candidate when an observer listens.
 
-Each level's scoring is sharded by the attribute of the added condition
-and dispatched through an :class:`~repro.engine.executor.Executor`. The
-shard boundaries depend only on the candidate set — never on the worker
-count — and shard results are scattered back into generation order, so a
+Parent blocks are capped by a fixed working-set size and scored through
+an :class:`~repro.engine.executor.Executor`. Block boundaries depend only
+on the data shape, the model's block count and the beam length, never
+on the worker count, and blocks come back in order, so a
 ``ProcessExecutor`` run returns bit-identical results to a serial one.
 """
 
@@ -27,13 +37,16 @@ from repro.errors import SearchError
 from repro.events import MiningObserver
 from repro.interest.dl import LOCATION, DLParams, description_length
 from repro.interest.si import PatternScore
-from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
 from repro.model.gaussian import LOG_2PI
 from repro.obs import clock
 from repro.obs.instruments import (
     BEAM_CANDIDATES,
+    BEAM_FILTERED_CONTRADICTORY,
+    BEAM_FILTERED_COVERAGE,
+    BEAM_FILTERED_DUPLICATE,
+    BEAM_FILTERED_REDUNDANT,
     BEAM_PHASE_CANDIDATE_GEN,
     BEAM_PHASE_MERGE,
     BEAM_PHASE_PRUNE,
@@ -44,6 +57,12 @@ from repro.search.config import SearchConfig
 from repro.search.results import ScoredSubgroup, SearchResult
 from repro.utils.linalg import log_det_psd, solve_psd
 from repro.utils.timer import TimeBudget
+
+#: Bytes of stacked right-hand side ``[P | P∘T | P∘H]`` per parent block.
+#: A fixed bound on the scoring working set, not a tuning option: one
+#: block holds a whole beam of 40 on crime (d = 1) and three parents on
+#: mammals (d = 124).
+BLOCK_BYTES = 8 << 20
 
 
 class LocationICScorer:
@@ -64,8 +83,6 @@ class LocationICScorer:
         "_block_means",
         "_block_covs",
         "_weights",
-        "_wtargets",
-        "_wonehot",
     )
 
     def __init__(self, model: BackgroundModel, targets: np.ndarray) -> None:
@@ -91,14 +108,6 @@ class LocationICScorer:
         # One-hot block membership for batched per-block counts.
         self._onehot = np.zeros((model.n_rows, model.n_blocks))
         self._onehot[np.arange(model.n_rows), self._labels] = 1.0
-        # Weighted views: premultiplying by the case weights turns the
-        # same matmuls into weighted sums, so one code shape serves both.
-        if self._weights is None:
-            self._wtargets = None
-            self._wonehot = None
-        else:
-            self._wtargets = self.targets * self._weights[:, None]
-            self._wonehot = self._onehot * self._weights[:, None]
 
         first = self._block_covs[0]
         self._uniform_cov = all(
@@ -113,46 +122,25 @@ class LocationICScorer:
         """ICs and observed means for a ``(k, n)`` boolean mask stack.
 
         On weighted models, ``sizes`` is the total subgroup weight and
-        the per-block counts are weighted counts; the IC formulas below
-        are unchanged because the weighted model covariance stays
+        the per-block counts are weighted counts; the IC formulas are
+        unchanged because the weighted model covariance stays
         ``Sigma_I = sum_b c_b Sigma_b / W^2`` with weighted ``c_b``
         (frequency semantics — see the background model).
         """
         masks = np.asarray(masks)
-        if masks.ndim != 2 or masks.shape[1] != self.model.n_rows:
-            raise SearchError(f"masks must be (k, {self.model.n_rows}), got {masks.shape}")
-        fmasks = masks.astype(float)
-        if self._weights is None:
-            sizes = fmasks.sum(axis=1)
-            if np.any(sizes == 0):
-                raise SearchError("cannot score an empty subgroup")
-            observed = (fmasks @ self.targets) / sizes[:, None]
-            block_counts = fmasks @ self._onehot  # (k, B)
-        else:
-            sizes = fmasks @ self._weights
-            if np.any(sizes == 0):
-                raise SearchError("cannot score an empty subgroup")
-            observed = (fmasks @ self._wtargets) / sizes[:, None]
-            block_counts = fmasks @ self._wonehot  # (k, B), weighted
-        model_means = (block_counts @ self._block_means) / sizes[:, None]
-        diffs = observed - model_means
-        d = self.model.dim
-
-        if self._uniform_cov:
-            # Sigma_I = Sigma / |I|: Mahalanobis scales by |I|, logdet by
-            # -d log |I|. One matmul scores every candidate.
-            maha = np.einsum("kd,de,ke->k", diffs, self._precision, diffs) * sizes
-            logdet = self._logdet - d * np.log(sizes)
-            ics = 0.5 * (d * LOG_2PI + logdet + maha)
-            return ics, observed
-
-        ics = np.empty(masks.shape[0])
-        for k in range(masks.shape[0]):
-            cov = np.einsum(
-                "b,bde->de", block_counts[k], self._block_covs
-            ) / sizes[k] ** 2
-            maha = float(diffs[k] @ solve_psd(cov, diffs[k]))
-            ics[k] = 0.5 * (d * LOG_2PI + log_det_psd(cov) + maha)
+        n = self.model.n_rows
+        if masks.ndim != 2 or masks.shape[1] != n:
+            raise SearchError(f"masks must be (k, {n}), got {masks.shape}")
+        # Each mask is a refinement of the full data by a one-off pool.
+        admitted, ics, observed = self.score_refinements(
+            masks.astype(float),
+            np.ones((1, n), dtype=bool),
+            [np.arange(masks.shape[0])],
+            1,
+            n,
+        )
+        if not admitted.all():
+            raise SearchError("cannot score an empty subgroup")
         return ics, observed
 
     def score_mask(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
@@ -160,50 +148,96 @@ class LocationICScorer:
         ics, observed = self.score_masks(np.asarray(mask)[None, :])
         return float(ics[0]), observed[0]
 
+    def score_refinements(
+        self,
+        matrix: np.ndarray,
+        parents: np.ndarray,
+        conditions: list[np.ndarray],
+        min_size: int,
+        max_size: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Score the refinements of a block of parents by pool conditions.
 
-class _ResultLog:
-    """Keeps the ``top_k`` scored subgroups, stable under ties."""
+        ``matrix`` is the ``(m, n)`` condition-mask matrix as floats,
+        ``parents`` a ``(p, n)`` boolean stack of parent masks, and
+        ``conditions[j]`` the matrix rows to refine parent ``j`` by. A
+        refinement is admitted when its row count lies in ``[min_size,
+        max_size]``. Returns ``(admitted, ics, observed)``: one flag per
+        listed refinement, in order, then the ICs and observed means of
+        the admitted ones.
+        """
+        n, d = self.targets.shape
+        n_blocks = self._n_blocks
+        p = parents.shape[0]
+        width = _rhs_width(d, n_blocks)
+        # Column groups, each p wide: (weighted) sizes, target sums and
+        # block counts. Unit weights build the identical right-hand side
+        # as no weights, so they score bit-identically.
+        rhs = np.empty((n, width, p))
+        rhs[:, 0, :] = parents.T
+        if self._weights is not None:
+            rhs[:, 0, :] *= self._weights[:, None]
+        scaled = rhs[:, 0, None, :]
+        np.multiply(self.targets[:, :, None], scaled, out=rhs[:, 1 : 1 + d, :])
+        np.multiply(
+            self._onehot[:, :, None], scaled, out=rhs[:, 1 + d : 1 + d + n_blocks, :]
+        )
+        stats = (matrix @ rhs.reshape(n, width * p)).reshape(-1, width, p)
+        # Coverage limits are in rows, whatever the weights.
+        if self._weights is None:
+            counts = stats[:, 0, :]
+        else:
+            counts = matrix @ parents.T.astype(float)
+        rows = np.concatenate(
+            [stats[chosen, :, j] for j, chosen in enumerate(conditions)]
+        )
+        row_counts = np.concatenate(
+            [counts[chosen, j] for j, chosen in enumerate(conditions)]
+        )
+        admitted = (row_counts >= min_size) & (row_counts <= max_size)
+        rows = rows[admitted]
+        ics, observed = self._ic(
+            rows[:, 0], rows[:, 1 : 1 + d], rows[:, 1 + d : 1 + d + n_blocks]
+        )
+        return admitted, ics, observed
 
-    def __init__(self, top_k: int) -> None:
-        self.top_k = top_k
-        self._entries: list[tuple[float, int, ScoredSubgroup]] = []
-        self._counter = 0
+    def _ic(
+        self, sizes: np.ndarray, sums: np.ndarray, block_counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """ICs and observed means from per-subgroup (weighted) sizes,
+        target sums and per-block counts."""
+        observed = sums / sizes[:, None]
+        model_means = (block_counts @ self._block_means) / sizes[:, None]
+        diffs = observed - model_means
+        d = self.model.dim
 
-    def add(self, entry: ScoredSubgroup) -> None:
-        self._entries.append((entry.si, self._counter, entry))
-        self._counter += 1
-        if len(self._entries) > 4 * self.top_k:
-            self._shrink()
+        if self._uniform_cov:
+            # Sigma_I = Sigma / |I|: Mahalanobis scales by |I|, logdet by
+            # -d log |I|. One matmul scores every candidate.
+            maha = np.sum((diffs @ self._precision) * diffs, axis=1) * sizes
+            logdet = self._logdet - d * np.log(sizes)
+            ics = 0.5 * (d * LOG_2PI + logdet + maha)
+            return ics, observed
 
-    def _shrink(self) -> None:
-        self._entries.sort(key=lambda t: (-t[0], t[1]))
-        del self._entries[self.top_k:]
-
-    def ranked(self) -> list[ScoredSubgroup]:
-        self._shrink()
-        return [entry for _, _, entry in self._entries]
-
-
-def _score_shard(
-    scorer: LocationICScorer, masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Worker entry point: score one attribute shard's mask stack."""
-    return scorer.score_masks(masks)
+        ics = np.empty(sizes.shape[0])
+        for k in range(sizes.shape[0]):
+            cov = np.einsum(
+                "b,bde->de", block_counts[k], self._block_covs
+            ) / sizes[k] ** 2
+            maha = float(diffs[k] @ solve_psd(cov, diffs[k]))
+            ics[k] = 0.5 * (d * LOG_2PI + log_det_psd(cov) + maha)
+        return ics, observed
 
 
-def _score_shard_rows(
-    scorer: LocationICScorer, payload: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Worker entry point, shared-memory transport: slice then score.
+def _rhs_width(dim: int, n_blocks: int) -> int:
+    """Column groups per parent in :meth:`LocationICScorer.score_refinements`."""
+    return 1 + dim + n_blocks
 
-    ``payload`` is ``(stack, rows)`` where ``stack`` is the level's full
-    candidate mask stack — a zero-copy view over shared memory by the
-    time it arrives here — and ``rows`` the shard's candidate indices.
-    ``stack[rows]`` materializes exactly the rows ``_score_shard`` would
-    have received as a copied stack, so the scores are bit-identical.
-    """
-    stack, rows = payload
-    return scorer.score_masks(stack[rows])
+
+def _score_block(context: tuple, payload: tuple) -> tuple:
+    """Executor entry point: score the refinements of one parent block."""
+    scorer, matrix = context
+    return scorer.score_refinements(matrix, *payload)
 
 
 class LocationBeamSearch:
@@ -221,14 +255,14 @@ class LocationBeamSearch:
         DL weights; SI of a candidate with ``c`` conditions is
         ``IC / (gamma c + eta)``.
     executor:
-        Backend evaluating the per-attribute scoring shards; serial by
-        default, and guaranteed to return the serial result at any
-        parallelism (see module docstring).
+        Backend scoring the parent blocks; serial by default, and
+        guaranteed to return the serial result at any parallelism (see
+        module docstring).
     observer:
         Optional :class:`~repro.events.MiningObserver`; its
         ``on_candidate`` hook fires for every admissible candidate the
         search scores, in generation order, in the coordinating process
-        (shard scoring may be parallel, event delivery never is).
+        (block scoring may be parallel, event delivery never is).
     """
 
     def __init__(
@@ -251,16 +285,32 @@ class LocationBeamSearch:
     def run(self) -> SearchResult:
         """Execute the level-wise search; returns the winner and the log."""
         config = self.config
+        operator = self.operator
         n_rows = self.scorer.model.n_rows
         budget = TimeBudget(config.time_budget_seconds)
         max_size = int(math.floor(config.max_coverage_fraction * n_rows))
         # The full data is never an interesting subgroup of itself.
         max_size = min(max_size, n_rows - 1)
 
-        log = _ResultLog(config.top_k)
-        root_mask = np.ones(n_rows, dtype=bool)
-        beam: list[tuple[Description, np.ndarray]] = [(Description(), root_mask)]
-        seen: set[Description] = set()
+        pool_size = len(operator)
+        masks = operator.condition_matrix
+        # DL by number of conditions, i.e. by the length of a key.
+        dls = np.array(
+            [math.nan]
+            + [
+                description_length(c, kind=LOCATION, params=self.dl_params)
+                for c in range(1, config.max_depth + 1)
+            ]
+        )
+        # Keys are fixed-width rows, so equal keys are equal bytes.
+        key_bytes = np.dtype((np.void, config.max_depth * np.dtype(np.intp).itemsize))
+        beam = [(operator.root_key(config.max_depth), np.ones(n_rows, dtype=bool))]
+        seen: set[bytes] = set()
+        # The top-k log as ascending (-si, serial) pairs, where a serial
+        # numbers candidates in generation order, and the entries built
+        # for the pairs in it.
+        log: list[tuple[float, int]] = []
+        entries: dict[int, ScoredSubgroup] = {}
         n_evaluated = 0
         depth_reached = 0
         expired = False
@@ -270,40 +320,65 @@ class LocationBeamSearch:
         # same boundaries and only materialize inside an active trace.
         trace_ctx = current()
 
-        # The scorer is shipped to the workers once per run, not per level.
-        with self.executor.session(self.scorer) as session:
+        # The scorer and the condition masks are shipped to the workers
+        # once per run, not per level.
+        with self.executor.session((self.scorer, masks.astype(float))) as session:
             for depth in range(1, config.max_depth + 1):
                 t_gen = clock.perf_counter()
-                candidates: list[tuple[Description, np.ndarray]] = []
-                shards: dict[str, list[int]] = {}
-                for parent_description, parent_mask in beam:
+                conditions: list[np.ndarray] = []
+                keys: list[np.ndarray] = []
+                n_redundant = n_contradictory = n_duplicate = 0
+                for key, _ in beam:
                     if budget.expired:
                         expired = True
                         break
-                    for refined, condition in self.operator.refinements(
-                        parent_description
-                    ):
-                        if refined in seen:
-                            continue
-                        seen.add(refined)
-                        mask = parent_mask & self.operator.mask_of(condition)
-                        size = int(mask.sum())
-                        if size < config.min_coverage or size > max_size:
-                            continue
-                        shards.setdefault(condition.attribute, []).append(
-                            len(candidates)
-                        )
-                        candidates.append((refined, mask))
+                    refined, refined_keys, redundant, contradictory = (
+                        operator.refine_key(key)
+                    )
+                    # First occurrence in generation order wins, before
+                    # (and whatever) the coverage filter decides.
+                    fresh = []
+                    raws = refined_keys.view(key_bytes).ravel().tolist()
+                    for i, raw in enumerate(raws):
+                        if raw not in seen:
+                            seen.add(raw)
+                            fresh.append(i)
+                    conditions.append(refined[fresh])
+                    keys.append(refined_keys[fresh])
+                    n_redundant += redundant
+                    n_contradictory += contradictory
+                    n_duplicate += refined.shape[0] - len(fresh)
+                BEAM_FILTERED_REDUNDANT.inc(n_redundant)
+                BEAM_FILTERED_CONTRADICTORY.inc(n_contradictory)
+                BEAM_FILTERED_DUPLICATE.inc(n_duplicate)
                 t_score = clock.perf_counter()
                 BEAM_PHASE_CANDIDATE_GEN.observe(t_score - t_gen)
                 TRACER.record("candidate_gen", t_gen, t_score, trace_ctx)
-                if expired or not candidates:
+                if expired:
                     break
-                BEAM_CANDIDATES.inc(len(candidates))
 
-                depth_reached = depth
-                ics, observed = self._score_sharded(session, candidates, shards)
-                n_evaluated += len(candidates)
+                blocks = session.map(
+                    _score_block,
+                    [
+                        (
+                            np.stack([mask for _, mask in beam[lo:hi]]),
+                            conditions[lo:hi],
+                            config.min_coverage,
+                            max_size,
+                        )
+                        for lo, hi in self._blocks(len(beam))
+                    ],
+                )
+                admitted = np.concatenate([block[0] for block in blocks])
+                ics = np.concatenate([block[1] for block in blocks])
+                observed = np.concatenate([block[2] for block in blocks])
+                parent_of = np.repeat(
+                    np.arange(len(beam)), [c.shape[0] for c in conditions]
+                )[admitted]
+                condition_of = np.concatenate(conditions)[admitted]
+                key_of = np.concatenate(keys)[admitted]
+                n_candidates = ics.shape[0]
+                BEAM_FILTERED_COVERAGE.inc(admitted.shape[0] - n_candidates)
                 t_merge = clock.perf_counter()
                 BEAM_PHASE_SCORE.observe(t_merge - t_score)
                 TRACER.record(
@@ -311,38 +386,53 @@ class LocationBeamSearch:
                     t_score,
                     t_merge,
                     trace_ctx,
-                    tags={"depth": depth, "candidates": len(candidates)},
+                    tags={"depth": depth, "candidates": n_candidates},
                 )
+                if not n_candidates:
+                    break
+                BEAM_CANDIDATES.inc(n_candidates)
+                depth_reached = depth
 
-                scored: list[ScoredSubgroup] = []
-                for (description, mask), ic, mean in zip(candidates, ics, observed):
-                    dl = description_length(
-                        len(description), kind=LOCATION, params=self.dl_params
-                    )
-                    entry = ScoredSubgroup(
-                        description=description,
+                lengths = np.count_nonzero(key_of < pool_size, axis=1)
+                sis = ics / dls[lengths]
+
+                def entry(i: int) -> ScoredSubgroup:
+                    mask = beam[parent_of[i]][1] & masks[condition_of[i]]
+                    return ScoredSubgroup(
+                        description=operator.description_of(key_of[i]),
                         indices=np.flatnonzero(mask),
-                        observed_mean=mean,
-                        score=PatternScore(ic=float(ic), dl=dl),
+                        # A copy: a view would pin the level's whole array.
+                        observed_mean=observed[i].copy(),
+                        score=PatternScore(ic=float(ics[i]), dl=float(dls[lengths[i]])),
                     )
-                    scored.append(entry)
-                    log.add(entry)
-                    if self.observer is not None:
-                        self.observer.on_candidate(entry)
+
+                if self.observer is not None:
+                    for i in range(n_candidates):
+                        self.observer.on_candidate(entry(i))
+                order = np.argsort(-sis, kind="stable")
+                top = order[: config.top_k].tolist()
+                first = n_evaluated
+                n_evaluated += n_candidates
+                log = sorted(
+                    log + [(-si, first + i) for si, i in zip(sis[top].tolist(), top)]
+                )[: config.top_k]
+                entries = {
+                    serial: entries[serial] if serial < first else entry(serial - first)
+                    for _, serial in log
+                }
                 t_prune = clock.perf_counter()
                 BEAM_PHASE_MERGE.observe(t_prune - t_merge)
                 TRACER.record("merge", t_merge, t_prune, trace_ctx)
 
-                scored.sort(key=lambda e: -e.si)
                 beam = [
-                    (entry.description, self._mask_of_entry(entry, n_rows))
-                    for entry in scored[: config.beam_width]
+                    (key_of[i], beam[parent_of[i]][1] & masks[condition_of[i]])
+                    for i in order[: config.beam_width].tolist()
                 ]
                 t_done = clock.perf_counter()
                 BEAM_PHASE_PRUNE.observe(t_done - t_prune)
                 TRACER.record("prune", t_prune, t_done, trace_ctx)
 
-        ranked = log.ranked()
+        ranked = [entries[serial] for _, serial in log]
         return SearchResult(
             best=ranked[0] if ranked else None,
             log=tuple(ranked),
@@ -351,54 +441,14 @@ class LocationBeamSearch:
             expired=expired,
         )
 
-    def _score_sharded(
-        self,
-        session,
-        candidates: list[tuple[Description, np.ndarray]],
-        shards: dict[str, list[int]],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one level's candidates shard-by-attribute, in order.
-
-        Shard composition is a pure function of the candidate set, and
-        results are scattered back into generation order — both
-        independent of the executor, which is what makes serial and
-        parallel runs identical.
-
-        Transport: a copying session receives one mask stack per shard
-        (pickled per item); a shared-memory session receives the whole
-        level's stack once — published into shared memory and unlinked
-        as soon as the level is scored — and per-item payloads shrink to
-        the shard's row indices.
-        """
-        shard_indices = list(shards.values())
-        if getattr(session, "uses_shared_arrays", False):
-            stack = np.stack([mask for _, mask in candidates])
-            ref = session.share(stack)
-            try:
-                results = session.map(
-                    _score_shard_rows,
-                    [
-                        (ref, np.asarray(indices, dtype=np.intp))
-                        for indices in shard_indices
-                    ],
-                )
-            finally:
-                session.release(ref)
-        else:
-            payloads = [
-                np.stack([candidates[i][1] for i in indices])
-                for indices in shard_indices
-            ]
-            results = session.map(_score_shard, payloads)
-        ics = np.empty(len(candidates))
-        observed = np.empty((len(candidates), self.scorer.model.dim))
-        for indices, (shard_ics, shard_observed) in zip(shard_indices, results):
-            ics[indices] = shard_ics
-            observed[indices] = shard_observed
-        return ics, observed
-
-    @staticmethod
-    def _mask_of_entry(entry: ScoredSubgroup, n_rows: int) -> np.ndarray:
-        mask = np.zeros(n_rows, dtype=bool)
-        mask[entry.indices] = True
-        return mask
+    def _blocks(self, n_parents: int) -> list[tuple[int, int]]:
+        """Consecutive parent ranges whose stacked right-hand side fits
+        in :data:`BLOCK_BYTES`: a function of the data shape, the model's
+        block count and the beam length only."""
+        model = self.scorer.model
+        width = _rhs_width(model.dim, model.n_blocks)
+        per_block = max(1, BLOCK_BYTES // (8 * model.n_rows * width))
+        return [
+            (lo, min(lo + per_block, n_parents))
+            for lo in range(0, n_parents, per_block)
+        ]

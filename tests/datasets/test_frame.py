@@ -45,6 +45,30 @@ class TestKindInference:
         kinds = {c.name: c.kind for c in dataset.columns()}
         assert kinds["flag"] is AttributeKind.BINARY
 
+    def test_digit_strings_are_categorical(self):
+        frame = {**_frame(), "grade": np.array(["0", "1", "2", "1", "0"])}
+        dataset = from_dataframe(frame, target="score_a")
+        grade = dataset.column("grade")
+        assert grade.kind is AttributeKind.CATEGORICAL
+        assert sorted(grade.domain()) == ["0", "1", "2"]
+
+    def test_binary_looking_digit_strings_are_categorical(self):
+        frame = {**_frame(), "flag": np.array(["0", "1", "1", "0", "1"])}
+        dataset = from_dataframe(frame, target="score_a")
+        assert dataset.column("flag").kind is AttributeKind.CATEGORICAL
+
+    def test_digit_strings_opt_in_to_numeric(self):
+        frame = {**_frame(), "grade": np.array(["0", "1", "2", "1", "0"])}
+        dataset = from_dataframe(frame, target="score_a", kinds={"grade": "numeric"})
+        grade = dataset.column("grade")
+        assert grade.kind is AttributeKind.NUMERIC
+        np.testing.assert_array_equal(grade.values, [0.0, 1.0, 2.0, 1.0, 0.0])
+
+    def test_object_column_of_numbers_stays_numeric(self):
+        frame = {**_frame(), "income": np.array([1.5, None, 3.0, 2.5, 4.0], dtype=object)}
+        dataset = from_dataframe(frame, target="score_a", dropna=True)
+        assert dataset.column("income").kind is AttributeKind.NUMERIC
+
     def test_kind_override(self):
         dataset = from_dataframe(
             _frame(), target="score_a", kinds={"age": "ordinal"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.schema import AttributeKind, Column, Dataset
-from repro.errors import DataError
+from repro.errors import DataError, LanguageError
 from repro.lang.conditions import EqualsCondition, NumericCondition
 from repro.lang.description import Description
 from repro.lang.refinement import RefinementOperator
@@ -57,6 +57,35 @@ class TestMasks:
         assert mask1 is mask2
         with pytest.raises(ValueError):
             mask1[0] = True
+
+    def test_mask_of_is_a_condition_matrix_row(self, dataset):
+        op = RefinementOperator(dataset)
+        for i, cond in enumerate(op.conditions):
+            np.testing.assert_array_equal(op.mask_of(cond), op.condition_matrix[i])
+        assert op.condition_matrix.flags.writeable is False
+
+    def test_mask_of_a_condition_outside_the_pool(self, dataset):
+        op = RefinementOperator(dataset)
+        outside = NumericCondition("num", "<=", 0.123)
+        assert outside not in op.conditions
+        mask = op.mask_of(outside)
+        np.testing.assert_array_equal(mask, outside.mask(dataset))
+        assert mask.flags.writeable is False
+
+    def test_condition_matrix_is_built_on_first_use(self, dataset):
+        op = RefinementOperator(dataset)
+        assert op._index_cache is None
+        op.mask_of(op.conditions[0])
+        assert op._index_cache is not None
+
+    def test_duplicate_pool_conditions_rejected(self, dataset, monkeypatch):
+        twice = EqualsCondition("bin", 1.0)
+        monkeypatch.setattr(
+            RefinementOperator, "_build_pool", lambda self, *args: [twice, twice]
+        )
+        op = RefinementOperator(dataset)
+        with pytest.raises(LanguageError, match="duplicate"):
+            op.condition_matrix
 
     def test_extension_mask_matches_description(self, dataset):
         op = RefinementOperator(dataset)

@@ -89,6 +89,45 @@ class TestRefinementMonotonicity:
             assert not refined.is_contradictory()
 
 
+class TestKeySpaceRefinement:
+    """``refine_key`` is ``refinements`` in index space: the same added
+    conditions in the same order, keys that decode to the same
+    descriptions, and every other pool condition counted as redundant
+    or contradictory."""
+
+    @given(seed=st.integers(0, 19), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_description_refinements(self, seed, data):
+        operator = make_operator(seed)
+        pool = operator.conditions
+        width = 5
+        key = operator.root_key(width)
+        for _ in range(data.draw(st.integers(0, width - 1))):
+            _, keys, _, _ = operator.refine_key(key)
+            if keys.shape[0] == 0:
+                break
+            key = keys[data.draw(st.integers(0, keys.shape[0] - 1))]
+        parent = operator.description_of(key)
+        assert parent == parent.canonical()
+
+        conditions, keys, redundant, contradictory = operator.refine_key(key)
+        expected = list(operator.refinements(parent))
+        assert [pool[i] for i in conditions] == [c for _, c in expected]
+        assert [operator.description_of(k) for k in keys] == [r for r, _ in expected]
+        assert len(expected) + redundant + contradictory == len(operator)
+
+    def test_keys_and_canonical_descriptions_are_in_bijection(self):
+        operator = make_operator(0)
+        key = operator.root_key(3)
+        _, keys, _, _ = operator.refine_key(key)
+        seen = {}
+        for child in keys:
+            _, grandchildren, _, _ = operator.refine_key(child)
+            for k in grandchildren:
+                seen.setdefault(k.tobytes(), operator.description_of(k))
+        assert len(set(seen.values())) == len(seen)
+
+
 class TestMaskMemoization:
     @given(seed=st.integers(0, 19))
     @settings(max_examples=20, deadline=None)

@@ -9,6 +9,7 @@ from repro.interest.ic import location_ic
 from repro.lang.refinement import RefinementOperator
 from repro.model.background import BackgroundModel
 from repro.model.patterns import SpreadConstraint
+from repro.obs.instruments import BEAM_FILTERED
 from repro.search.beam import LocationBeamSearch, LocationICScorer
 from repro.search.config import SearchConfig
 from repro.stats.statistics import subgroup_mean
@@ -140,3 +141,36 @@ class TestLocationBeamSearch:
         result = self.search(planted, max_depth=1)
         # flag: 2 conditions, noise_bin: 2, noise_num: 8 -> 12 candidates.
         assert result.n_evaluated == 12
+
+
+class TestFilterCounters:
+    REASONS = ("redundant", "contradictory", "duplicate", "coverage")
+
+    @staticmethod
+    def filtered() -> dict[str, float]:
+        return {r: BEAM_FILTERED.labels(r).value for r in TestFilterCounters.REASONS}
+
+    def test_admitted_plus_filtered_is_parents_times_pool_per_level(self, planted):
+        """Every (parent, pool condition) pair of a level is either
+        scored or dropped for exactly one reason. Levels are isolated by
+        running the same search one level deeper each time."""
+        dataset, model = planted
+        operator = RefinementOperator(dataset)
+        scorer = LocationICScorer(model, dataset.targets)
+        beam_width = 5
+        admitted_before, filtered_before = 0, dict.fromkeys(self.REASONS, 0.0)
+        totals = dict.fromkeys(self.REASONS, 0.0)
+        parents = 1
+        for depth in range(1, 4):
+            start = self.filtered()
+            config = SearchConfig(beam_width=beam_width, max_depth=depth, min_coverage=15)
+            result = LocationBeamSearch(operator, scorer, config=config).run()
+            run = {r: v - start[r] for r, v in self.filtered().items()}
+            level = {r: run[r] - filtered_before[r] for r in self.REASONS}
+            admitted = result.n_evaluated - admitted_before
+            assert admitted + sum(level.values()) == parents * len(operator)
+            for reason in self.REASONS:
+                totals[reason] += level[reason]
+            parents = min(beam_width, admitted)
+            admitted_before, filtered_before = result.n_evaluated, run
+        assert all(totals[reason] > 0 for reason in self.REASONS), totals
