@@ -51,6 +51,18 @@ BEAM_FILTERED = METRICS.counter(
     "Beam refinements dropped before scoring",
     labels=("reason",),
 )
+#: Starting points of spread-direction searches: one per gradient
+#: ascent, or per grid evaluation of the 2-sparse pair search (the
+#: outcome's ``n_starts``). Counted in the coordinating process.
+SPREAD_STARTS = METRICS.counter(
+    "sisd_spread_starts_total", "Spread-direction search starting points"
+)
+#: Gradient-ascent iterations of spread-direction searches, summed over
+#: starts (the outcome's ``n_iterations``).
+SPREAD_ASCENT_ITERATIONS = METRICS.counter(
+    "sisd_spread_ascent_iterations_total",
+    "Spread-direction gradient-ascent iterations",
+)
 #: Mining-loop steps; outcome ∈ mined|replayed (belief-cache hit).
 MINER_STEPS = METRICS.counter(
     "sisd_miner_steps_total",

@@ -10,10 +10,14 @@ and their statistics come from one matrix product per block of beam
 parents: with ``C`` the condition-mask matrix and ``P`` the parents'
 row masks, ``C @ [P | P∘T | P∘H]`` holds the row count, the target sums
 and the per-model-block counts of every (parent, condition) pair
-(weighted sums and counts when the model carries case weights). That is
-all the information content needs; it has a fast path when every model
-block shares one covariance (always true before any spread pattern has
-been assimilated, since location updates leave covariances alone).
+(weighted sums and counts when the model carries case weights). Rows no
+parent of the block covers contribute nothing, so the product runs over
+the block's covered rows only. That is all the information content
+needs. Both covariance cases are batched: one precision serves every
+candidate when every model block shares one covariance (always true
+before any spread pattern has been assimilated, since location updates
+leave covariances alone), and otherwise the pooled covariances are
+factored by stacked Choleskys over fixed-size chunks of candidates.
 :class:`~repro.lang.description.Description` and
 :class:`~repro.search.results.ScoredSubgroup` objects are built only for
 the candidates that enter the top-k log or the next beam, and for every
@@ -58,11 +62,18 @@ from repro.search.results import ScoredSubgroup, SearchResult
 from repro.utils.linalg import log_det_psd, solve_psd
 from repro.utils.timer import TimeBudget
 
-#: Bytes of stacked right-hand side ``[P | P∘T | P∘H]`` per parent block.
-#: A fixed bound on the scoring working set, not a tuning option: one
-#: block holds a whole beam of 40 on crime (d = 1) and three parents on
-#: mammals (d = 124).
+#: Bytes of stacked right-hand side ``[P | P∘T | P∘H]`` per parent block,
+#: counted over all ``n`` rows although a block's product only runs over
+#: the rows its parents cover. A fixed bound on the scoring working set,
+#: not a tuning option: one block holds a whole beam of 40 on crime
+#: (d = 1) and three parents on mammals (d = 124).
 BLOCK_BYTES = 8 << 20
+
+#: Bytes of stacked pooled covariances per chunk of candidates when the
+#: model blocks' covariances differ: 32 candidates at d = 16. Small,
+#: because the stacked factors and solves are temporaries of the same
+#: size and larger chunks raise the peak memory without saving time.
+IC_CHUNK_BYTES = BLOCK_BYTES >> 7
 
 
 class LocationICScorer:
@@ -133,7 +144,7 @@ class LocationICScorer:
             raise SearchError(f"masks must be (k, {n}), got {masks.shape}")
         # Each mask is a refinement of the full data by a one-off pool.
         admitted, ics, observed = self.score_refinements(
-            masks.astype(float),
+            np.ascontiguousarray(masks.T, dtype=bool),
             np.ones((1, n), dtype=bool),
             [np.arange(masks.shape[0])],
             1,
@@ -158,46 +169,51 @@ class LocationICScorer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Score the refinements of a block of parents by pool conditions.
 
-        ``matrix`` is the ``(m, n)`` condition-mask matrix as floats,
-        ``parents`` a ``(p, n)`` boolean stack of parent masks, and
-        ``conditions[j]`` the matrix rows to refine parent ``j`` by. A
-        refinement is admitted when its row count lies in ``[min_size,
-        max_size]``. Returns ``(admitted, ics, observed)``: one flag per
-        listed refinement, in order, then the ICs and observed means of
-        the admitted ones.
+        ``matrix`` is the transposed ``(n, m)`` boolean condition-mask
+        matrix, ``parents`` a ``(p, n)`` boolean stack of parent masks,
+        and ``conditions[j]`` the condition indices (columns of
+        ``matrix``) to refine parent ``j`` by. A refinement is admitted
+        when its row count lies in ``[min_size, max_size]``. Returns
+        ``(admitted, ics, observed)``: one flag per listed refinement,
+        in order, then the ICs and observed means of the admitted ones.
         """
-        n, d = self.targets.shape
+        d = self.targets.shape[1]
         n_blocks = self._n_blocks
         p = parents.shape[0]
         width = _rhs_width(d, n_blocks)
+        # Only the rows some parent covers add to any refinement.
+        rows = np.flatnonzero(parents.any(axis=0))
+        covered = parents[:, rows].T
         # Column groups, each p wide: (weighted) sizes, target sums and
         # block counts. Unit weights build the identical right-hand side
         # as no weights, so they score bit-identically.
-        rhs = np.empty((n, width, p))
-        rhs[:, 0, :] = parents.T
+        rhs = np.empty((rows.shape[0], width, p))
+        rhs[:, 0, :] = covered
         if self._weights is not None:
-            rhs[:, 0, :] *= self._weights[:, None]
+            rhs[:, 0, :] *= self._weights[rows, None]
         scaled = rhs[:, 0, None, :]
-        np.multiply(self.targets[:, :, None], scaled, out=rhs[:, 1 : 1 + d, :])
+        np.multiply(self.targets[rows, :, None], scaled, out=rhs[:, 1 : 1 + d, :])
         np.multiply(
-            self._onehot[:, :, None], scaled, out=rhs[:, 1 + d : 1 + d + n_blocks, :]
+            self._onehot[rows, :, None], scaled, out=rhs[:, 1 + d : 1 + d + n_blocks, :]
         )
-        stats = (matrix @ rhs.reshape(n, width * p)).reshape(-1, width, p)
+        # C[:, rows] as floats: only the gathered rows are ever converted.
+        gathered = matrix[rows].astype(float).T
+        stats = (gathered @ rhs.reshape(rows.shape[0], width * p)).reshape(-1, width, p)
         # Coverage limits are in rows, whatever the weights.
         if self._weights is None:
             counts = stats[:, 0, :]
         else:
-            counts = matrix @ parents.T.astype(float)
-        rows = np.concatenate(
+            counts = gathered @ covered.astype(float)
+        picked = np.concatenate(
             [stats[chosen, :, j] for j, chosen in enumerate(conditions)]
         )
         row_counts = np.concatenate(
             [counts[chosen, j] for j, chosen in enumerate(conditions)]
         )
         admitted = (row_counts >= min_size) & (row_counts <= max_size)
-        rows = rows[admitted]
+        picked = picked[admitted]
         ics, observed = self._ic(
-            rows[:, 0], rows[:, 1 : 1 + d], rows[:, 1 + d : 1 + d + n_blocks]
+            picked[:, 0], picked[:, 1 : 1 + d], picked[:, 1 + d : 1 + d + n_blocks]
         )
         return admitted, ics, observed
 
@@ -219,13 +235,28 @@ class LocationICScorer:
             ics = 0.5 * (d * LOG_2PI + logdet + maha)
             return ics, observed
 
+        # Sigma_I = sum_b c_b Sigma_b / |I|^2, factored a chunk at a time.
+        # einsum sums the blocks in order, as the model's own pooled
+        # covariance does; a GEMM rounds differently, which moved ICs by
+        # 1e-8 relative on a near-singular (collinear-target) model.
+        chunk = max(1, IC_CHUNK_BYTES // (8 * d * d))
         ics = np.empty(sizes.shape[0])
-        for k in range(sizes.shape[0]):
-            cov = np.einsum(
-                "b,bde->de", block_counts[k], self._block_covs
-            ) / sizes[k] ** 2
-            maha = float(diffs[k] @ solve_psd(cov, diffs[k]))
-            ics[k] = 0.5 * (d * LOG_2PI + log_det_psd(cov) + maha)
+        for lo in range(0, sizes.shape[0], chunk):
+            hi = min(lo + chunk, sizes.shape[0])
+            covs = np.einsum("kb,bde->kde", block_counts[lo:hi], self._block_covs)
+            covs /= (sizes[lo:hi] ** 2)[:, None, None]
+            try:
+                chol = np.linalg.cholesky(covs)
+            except np.linalg.LinAlgError:
+                # A singular pooled covariance in the chunk: the helpers'
+                # lstsq/eigvalsh fallbacks score it.
+                for k in range(hi - lo):
+                    maha = float(diffs[lo + k] @ solve_psd(covs[k], diffs[lo + k]))
+                    ics[lo + k] = 0.5 * (d * LOG_2PI + log_det_psd(covs[k]) + maha)
+                continue
+            z = np.linalg.solve(chol, diffs[lo:hi, :, None])[:, :, 0]
+            logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+            ics[lo:hi] = 0.5 * (d * LOG_2PI + logdet + np.sum(z * z, axis=1))
         return ics, observed
 
 
@@ -321,8 +352,10 @@ class LocationBeamSearch:
         trace_ctx = current()
 
         # The scorer and the condition masks are shipped to the workers
-        # once per run, not per level.
-        with self.executor.session((self.scorer, masks.astype(float))) as session:
+        # once per run, not per level, transposed so that a block gathers
+        # its covered rows, and as booleans (an eighth of the floats).
+        context = (self.scorer, np.ascontiguousarray(masks.T))
+        with self.executor.session(context) as session:
             for depth in range(1, config.max_depth + 1):
                 t_gen = clock.perf_counter()
                 conditions: list[np.ndarray] = []

@@ -23,6 +23,7 @@ from scipy.special import digamma, gammaln
 from repro.engine.executor import Executor, SerialExecutor
 from repro.errors import SearchError
 from repro.model.background import BackgroundModel
+from repro.obs.instruments import SPREAD_ASCENT_ITERATIONS, SPREAD_STARTS
 from repro.search.sphere import canonical_sign, project_tangent, random_unit, retract
 from repro.stats.statistics import subgroup_cov, subgroup_mean
 from repro.utils.rng import as_rng
@@ -282,6 +283,7 @@ def find_spread_direction(
 
     if dim == 1:
         w = np.ones(1)
+        SPREAD_STARTS.inc()
         return SpreadSearchOutcome(w, objective.value(w), objective.variance(w), 1, 0)
 
     if sparsity is not None:
@@ -318,6 +320,9 @@ def find_spread_direction(
             best_value = value
             best_w = w
     assert best_w is not None
+    # Counted here from the returned ascents, so any executor counts alike.
+    SPREAD_STARTS.inc(len(ascents))
+    SPREAD_ASCENT_ITERATIONS.inc(total_iterations)
     best_w = canonical_sign(best_w)
     return SpreadSearchOutcome(
         direction=best_w,
@@ -363,6 +368,7 @@ def _best_pair_direction(objective: SpreadObjective) -> SpreadSearchOutcome:
             if best is None or value > best[0]:
                 best = (value, embed(i, j, theta))
     assert best is not None
+    SPREAD_STARTS.inc(evaluations)
     w = canonical_sign(best[1])
     return SpreadSearchOutcome(
         direction=w,

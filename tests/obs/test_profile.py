@@ -125,3 +125,21 @@ class TestWorkspaceHook:
         Workspace().mine(spec, profile=seen.append)
         assert len(seen) == 1
         assert "profile:" in seen[0]
+
+    def test_profile_reports_spread_search_counters(self):
+        from repro.api import Workspace
+        from repro.spec import MiningSpec
+
+        spec = MiningSpec.build(
+            "synthetic", kind="spread", n_iterations=1, beam_width=6,
+            max_depth=2, top_k=10,
+        )
+        workspace = Workspace()
+        result = workspace.mine(spec, profile=True)
+        assert result.iterations[0].spread is not None
+        report = workspace.last_profile
+        deltas = report.deltas()
+        # Four random restarts plus six eigenvector starts.
+        assert deltas["sisd_spread_starts_total"] == {(): 10.0}
+        assert deltas["sisd_spread_ascent_iterations_total"][()] > 0
+        assert "sisd_spread_ascent_iterations_total" in report.format()

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.engine.executor import ProcessExecutor, SerialExecutor
 from repro.errors import SearchError
 from repro.model.background import BackgroundModel
+from repro.obs.instruments import SPREAD_ASCENT_ITERATIONS, SPREAD_STARTS
 from repro.search.spread import SpreadObjective, find_spread_direction
 from repro.stats.statistics import subgroup_spread
 
@@ -127,3 +129,47 @@ class TestFindSpreadDirection:
         a = find_spread_direction(model, idx, targets, seed=7)
         b = find_spread_direction(model, idx, targets, seed=7)
         np.testing.assert_allclose(a.direction, b.direction)
+
+
+def counted(search):
+    """Run ``search()``; return its outcome and the spread counters' deltas."""
+    starts, iterations = SPREAD_STARTS.value, SPREAD_ASCENT_ITERATIONS.value
+    outcome = search()
+    return outcome, (
+        SPREAD_STARTS.value - starts,
+        SPREAD_ASCENT_ITERATIONS.value - iterations,
+    )
+
+
+class TestSpreadCounters:
+    def test_full_sphere_counts_the_outcome(self, planted):
+        targets, model, idx = planted
+        outcome, deltas = counted(
+            lambda: find_spread_direction(model, idx, targets, seed=0)
+        )
+        assert deltas == (outcome.n_starts, outcome.n_iterations)
+        assert outcome.n_iterations > 0
+
+    def test_parallel_ascents_count_like_serial(self, planted):
+        """Ascents in worker processes are counted once, by the caller."""
+        targets, model, idx = planted
+        serial, serial_deltas = counted(
+            lambda: find_spread_direction(
+                model, idx, targets, seed=0, executor=SerialExecutor()
+            )
+        )
+        parallel, parallel_deltas = counted(
+            lambda: find_spread_direction(
+                model, idx, targets, seed=0, executor=ProcessExecutor(2)
+            )
+        )
+        assert parallel_deltas == serial_deltas
+        assert parallel.n_iterations == serial.n_iterations
+
+    def test_pair_search_counts_its_evaluations(self, planted):
+        targets, model, idx = planted
+        outcome, deltas = counted(
+            lambda: find_spread_direction(model, idx, targets, sparsity=2, seed=0)
+        )
+        assert deltas == (outcome.n_starts, 0)
+        assert outcome.n_starts > 0
